@@ -41,7 +41,13 @@ struct RealtimeEngine::Shard {
 
   // ---- producer-facing (lock-free) ----
   MpscQueue<fleet::Heartbeat> queue;
-  std::atomic<std::size_t> occupancy{0};  ///< logical pushed-minus-popped
+  /// Logical pushed-minus-popped.  Also the doorbell handshake's "is there
+  /// work" word: producers change it with seq_cst RMWs before they read the
+  /// bell, and a parking consumer reads it after publishing kParked.
+  std::atomic<std::size_t> occupancy{0};
+  /// Doorbell of the consumer thread that owns this shard (null until the
+  /// first start()).
+  std::atomic<Bell*> bell{nullptr};
   std::atomic<std::uint64_t> produced{0};
   std::atomic<std::uint64_t> shed_newest{0};
   std::atomic<std::uint64_t> shed_degraded{0};
@@ -111,9 +117,9 @@ bool RealtimeEngine::admit_bounded(Shard& shard, const fleet::Heartbeat& hb) {
   // Reserve a logical slot first; the reservation (not a re-read) is the
   // admission decision, so concurrent producers can never exceed the bound.
   const std::size_t occ =
-      shard.occupancy.fetch_add(1, std::memory_order_acq_rel);
+      shard.occupancy.fetch_add(1, std::memory_order_seq_cst);
   if (occ >= opts_.queue_capacity) {
-    shard.occupancy.fetch_sub(1, std::memory_order_acq_rel);
+    shard.occupancy.fetch_sub(1, std::memory_order_seq_cst);
     shard.shed_newest.fetch_add(1, std::memory_order_relaxed);
     latch(shard, RiskReason::kOverload);
     return false;
@@ -121,7 +127,7 @@ bool RealtimeEngine::admit_bounded(Shard& shard, const fleet::Heartbeat& hb) {
   if (!shard.queue.try_push(hb)) {
     // Physical backstop — unreachable while ring_capacity >= queue_capacity
     // (validated), kept as a counted safety net rather than an assumption.
-    shard.occupancy.fetch_sub(1, std::memory_order_acq_rel);
+    shard.occupancy.fetch_sub(1, std::memory_order_seq_cst);
     shard.shed_overflow.fetch_add(1, std::memory_order_relaxed);
     latch(shard, RiskReason::kOverload);
     return false;
@@ -136,9 +142,11 @@ bool RealtimeEngine::offer(const fleet::Heartbeat& hb) {
   shard.produced.fetch_add(1, std::memory_order_relaxed);
   fleet::Heartbeat rebased = hb;
   rebased.arrival = to_engine(hb.arrival);
+  bool admitted = false;
   switch (opts_.policy) {
     case OverloadPolicy::kDropNewest:
-      return admit_bounded(shard, rebased);
+      admitted = admit_bounded(shard, rebased);
+      break;
     case OverloadPolicy::kDegradeEta: {
       const std::size_t occ =
           shard.occupancy.load(std::memory_order_acquire);
@@ -154,7 +162,8 @@ bool RealtimeEngine::offer(const fleet::Heartbeat& hb) {
         latch(shard, RiskReason::kOverload);
         return false;
       }
-      return admit_bounded(shard, rebased);
+      admitted = admit_bounded(shard, rebased);
+      break;
     }
     case OverloadPolicy::kDropOldest: {
       // Always admit; the consumer sheds the *oldest* backlog at drain.
@@ -164,11 +173,34 @@ bool RealtimeEngine::offer(const fleet::Heartbeat& hb) {
         latch(shard, RiskReason::kOverload);
         return false;
       }
-      shard.occupancy.fetch_add(1, std::memory_order_acq_rel);
-      return true;
+      shard.occupancy.fetch_add(1, std::memory_order_seq_cst);
+      admitted = true;
+      break;
     }
   }
-  return false;  // unreachable: the switch is exhaustive
+  if (admitted) ring_if_parked(shard);
+  return admitted;
+}
+
+// The producer half of the doorbell handshake (park() is the other).  The
+// occupancy RMW above and the bell load below are seq_cst, as are park()'s
+// kParked store and occupancy load, so in their single total order either
+// the consumer's load sees this heartbeat's occupancy or this load sees
+// kParked: a ring that races the park is never lost.  The common case — a
+// consumer that is not parked — costs one load.
+void RealtimeEngine::ring_if_parked(Shard& shard) {
+  Bell* bell = shard.bell.load(std::memory_order_acquire);
+  if (bell != nullptr && bell->load(std::memory_order_seq_cst) == kParked) {
+    ring(*bell);
+  }
+}
+
+// Only the caller that flips kParked to kAwake makes the wake call: at most
+// one wake per park however many producers race here.
+void RealtimeEngine::ring(Bell& bell) {
+  if (bell.exchange(kAwake, std::memory_order_seq_cst) == kParked) {
+    time_.wake(bell);
+  }
 }
 
 bool RealtimeEngine::offer_now(fleet::ProcessIndex process,
@@ -220,7 +252,7 @@ std::size_t RealtimeEngine::drain_shard(std::size_t shard_index,
     while (shard.queue.try_pop(hb)) shard.scratch.push_back(hb);
     popped_total = shard.scratch.size();
     if (popped_total != 0) {
-      shard.occupancy.fetch_sub(popped_total, std::memory_order_acq_rel);
+      shard.occupancy.fetch_sub(popped_total, std::memory_order_seq_cst);
       shard.consumed.fetch_add(popped_total, std::memory_order_relaxed);
       std::size_t start = 0;
       if (popped_total > opts_.queue_capacity) {
@@ -238,7 +270,7 @@ std::size_t RealtimeEngine::drain_shard(std::size_t shard_index,
           shard.queue.pop_batch(shard.scratch.data(), opts_.drain_chunk);
       if (n == 0) break;
       popped_total += n;
-      shard.occupancy.fetch_sub(n, std::memory_order_acq_rel);
+      shard.occupancy.fetch_sub(n, std::memory_order_seq_cst);
       shard.consumed.fetch_add(n, std::memory_order_relaxed);
       ingested += ingest_locked(shard, shard.scratch.data(), n);
       if (n < opts_.drain_chunk) break;
@@ -486,11 +518,20 @@ void RealtimeEngine::start(std::size_t consumers, Duration consumer_period,
   thread_stalled_.clear();
   thread_killed_.clear();
   for (std::size_t t = 0; t < consumers; ++t) {
-    thread_alive_.push_back(std::make_unique<std::atomic<bool>>(false));
+    // Alive from before the launch: the watchdog must never take a consumer
+    // that has not been scheduled yet for a dead one.
+    thread_alive_.push_back(std::make_unique<std::atomic<bool>>(true));
     thread_stalled_.push_back(std::make_unique<std::atomic<bool>>(false));
     thread_killed_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
-  running_.store(true, std::memory_order_release);
+  while (bells_.size() < consumers) {
+    bells_.push_back(std::make_unique<Bell>(kAwake));
+  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s]->bell.store(bells_[s % consumers].get(),
+                           std::memory_order_release);
+  }
+  running_.store(true, std::memory_order_seq_cst);
   threads_.reserve(consumers);
   for (std::size_t t = 0; t < consumers; ++t) {
     threads_.emplace_back([this, t] { consumer_loop(t); });
@@ -500,7 +541,9 @@ void RealtimeEngine::start(std::size_t consumers, Duration consumer_period,
 
 // detlint: allow(R4) stopping is legal in any state (idempotent)
 void RealtimeEngine::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  if (!running_.exchange(false, std::memory_order_seq_cst)) return;
+  ring(watchdog_bell_);
+  for (std::size_t t = 0; t < consumer_count_; ++t) ring(*bells_[t]);
   // The watchdog is the only thread that respawns consumers; join it first
   // so the consumer roster is stable while we join the rest.
   if (watchdog_thread_.joinable()) watchdog_thread_.join();
@@ -520,44 +563,75 @@ void RealtimeEngine::stall_consumer(std::size_t thread_index, bool stalled) {
 void RealtimeEngine::kill_consumer(std::size_t thread_index) {
   CHENFD_EXPECTS(thread_index < thread_killed_.size(),
                  "RealtimeEngine::kill_consumer: thread index out of range");
-  thread_killed_[thread_index]->store(true, std::memory_order_release);
+  thread_killed_[thread_index]->store(true, std::memory_order_seq_cst);
+  ring(*bells_[thread_index]);
 }
 
 void RealtimeEngine::consumer_loop(std::size_t thread_index) {
-  thread_alive_[thread_index]->store(true, std::memory_order_release);
-  while (running_.load(std::memory_order_acquire)) {
-    if (thread_killed_[thread_index]->load(std::memory_order_acquire)) break;
-    bool idle = true;
-    if (!thread_stalled_[thread_index]->load(std::memory_order_acquire)) {
-      const TimePoint now = time_.now();
-      for (std::size_t s = thread_index; s < shards_.size();
-           s += consumer_count_) {
-        if (drain_shard(s, now) != 0) idle = false;
-        advance_shard(s, now);
-      }
+  const std::atomic<bool>& killed = *thread_killed_[thread_index];
+  while (running_.load(std::memory_order_seq_cst) &&
+         !killed.load(std::memory_order_seq_cst)) {
+    if (thread_stalled_[thread_index]->load(std::memory_order_acquire)) {
+      time_.sleep_for(consumer_period_);
+      continue;
     }
-    if (idle) time_.sleep_for(consumer_period_);
+    bool idle = true;
+    const TimePoint now = time_.now();
+    for (std::size_t s = thread_index; s < shards_.size();
+         s += consumer_count_) {
+      if (drain_shard(s, now) != 0) idle = false;
+      advance_shard(s, now);
+    }
+    if (idle) park(thread_index);
   }
   thread_alive_[thread_index]->store(false, std::memory_order_release);
 }
 
+// The consumer half of the doorbell handshake (see ring_if_parked): publish
+// kParked, then re-check every reason to run — work in an owned shard,
+// stop(), kill_consumer() — and block only if there is none.  The wait is
+// value-compared, so a ring between the re-check and the block returns at
+// once; consumer_period_ bounds it even if a ring were missed.
+void RealtimeEngine::park(std::size_t thread_index) {
+  Bell& bell = *bells_[thread_index];
+  bell.store(kParked, std::memory_order_seq_cst);
+  bool wake = !running_.load(std::memory_order_seq_cst) ||
+              thread_killed_[thread_index]->load(std::memory_order_seq_cst);
+  for (std::size_t s = thread_index; !wake && s < shards_.size();
+       s += consumer_count_) {
+    wake = shards_[s]->occupancy.load(std::memory_order_seq_cst) != 0;
+  }
+  if (!wake) time_.wait(bell, kParked, consumer_period_);
+  bell.store(kAwake, std::memory_order_relaxed);
+}
+
 void RealtimeEngine::watchdog_loop() {
-  while (running_.load(std::memory_order_acquire)) {
+  while (running_.load(std::memory_order_seq_cst)) {
     const TimePoint now = time_.now();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       const std::size_t t = s % consumer_count_;
+      // A consumer that left its loop because stop() has begun is not
+      // dead: running_ is read after thread_alive_, so such an exit is
+      // always seen together with running_ == false.
       const bool alive =
-          thread_alive_[t]->load(std::memory_order_acquire) &&
-          !thread_killed_[t]->load(std::memory_order_acquire);
+          (thread_alive_[t]->load(std::memory_order_acquire) &&
+           !thread_killed_[t]->load(std::memory_order_acquire)) ||
+          !running_.load(std::memory_order_acquire);
       if (poll_watchdog(s, now, alive) == WatchdogAction::kRestart) {
         warm_restart_shard(s, now);
         if (!alive) respawn_consumer(t);
       }
     }
-    time_.sleep_for(watchdog_period_);
+    watchdog_bell_.store(kParked, std::memory_order_seq_cst);
+    if (running_.load(std::memory_order_seq_cst)) {
+      time_.wait(watchdog_bell_, kParked, watchdog_period_);
+    }
+    watchdog_bell_.store(kAwake, std::memory_order_relaxed);
   }
 }
 
+// Never joins a running consumer: one still marked alive (a killed thread
+// that has not yet left its loop) is left for a later poll to respawn.
 void RealtimeEngine::respawn_consumer(std::size_t thread_index) {
   const std::lock_guard<std::mutex> lock(threads_mutex_);
   if (!running_.load(std::memory_order_acquire)) return;
@@ -565,6 +639,7 @@ void RealtimeEngine::respawn_consumer(std::size_t thread_index) {
   if (threads_[thread_index].joinable()) threads_[thread_index].join();
   thread_killed_[thread_index]->store(false, std::memory_order_release);
   thread_stalled_[thread_index]->store(false, std::memory_order_release);
+  thread_alive_[thread_index]->store(true, std::memory_order_release);
   threads_[thread_index] = std::thread([this, thread_index] {
     consumer_loop(thread_index);
   });

@@ -24,8 +24,11 @@
 // advance(), poll_watchdog() and warm_restart_shard() are the replay
 // harness's verbs (driven in deterministic virtual time); start()/stop()
 // spin real consumer threads plus a watchdog thread over the same verbs
-// for chenfd_rtd and the TSan tests.  Time only ever comes from the
-// injected TimeSource.
+// for chenfd_rtd and the TSan tests.  A live consumer that finds its shards
+// empty parks on a doorbell word that the next offer() into one of its
+// shards rings (still without a lock: one load, and one exchange plus one
+// TimeSource::wake per park).  Time, and every blocking wait, only ever
+// come from the injected TimeSource.
 
 #pragma once
 
@@ -148,10 +151,20 @@ class RealtimeEngine {
   // ---- live mode (chenfd_rtd, TSan tests) --------------------------------
 
   /// Spawns `consumers` consumer threads (shard s belongs to thread
-  /// s % consumers) and one watchdog thread.  Threads pace themselves with
-  /// TimeSource::sleep_for.
+  /// s % consumers) and one watchdog thread.  Every consumer is marked
+  /// alive before its thread is launched, so the watchdog's first poll
+  /// cannot mistake a starting consumer for a dead one.
+  ///
+  /// A consumer drains and advances its shards in passes.  After a pass
+  /// that ingested nothing it parks: it blocks in TimeSource::wait until an
+  /// offer() into one of its shards rings its doorbell, or for at most
+  /// `consumer_period` — the longest a consumer waits with no offer, which
+  /// is also how often an idle fleet's timing wheels are advanced.  The
+  /// watchdog polls every shard each `watchdog_period`.
   void start(std::size_t consumers, Duration consumer_period,
              Duration watchdog_period);
+  /// Stops and joins every live-mode thread.  Rings every doorbell, so
+  /// parked consumers and the waiting watchdog exit at once.
   void stop();
 
   /// Test hook: while stalled, consumer thread `thread_index` stops
@@ -160,6 +173,7 @@ class RealtimeEngine {
 
   /// Test hook: consumer thread `thread_index` exits its loop (models a
   /// crashed consumer; the watchdog respawns it on the restart path).
+  /// Rings the thread's doorbell, so a parked consumer exits at once.
   void kill_consumer(std::size_t thread_index);
 
   // ---- observability -----------------------------------------------------
@@ -200,11 +214,23 @@ class RealtimeEngine {
     return TimePoint(t.seconds() - base_s_);
   }
 
+  /// A doorbell: kParked while its owner is (about to be) blocked in
+  /// TimeSource::wait on it, kAwake otherwise.
+  using Bell = std::atomic<std::uint32_t>;
+  static constexpr std::uint32_t kAwake = 0;
+  static constexpr std::uint32_t kParked = 1;
+
   void latch(Shard& shard, RiskReason reason);
   bool admit_bounded(Shard& shard, const fleet::Heartbeat& hb);
+  void ring_if_parked(Shard& shard);
+  void ring(Bell& bell);
   std::size_t ingest_locked(Shard& shard, fleet::Heartbeat* batch,
                             std::size_t n);
+  /// One consumer thread: drain-and-advance passes over shards
+  /// thread_index, thread_index + consumers, ...; parks after a pass that
+  /// ingested nothing; while stalled it only sleeps consumer_period.
   void consumer_loop(std::size_t thread_index);
+  void park(std::size_t thread_index);
   void watchdog_loop();
   void respawn_consumer(std::size_t thread_index);
 
@@ -226,6 +252,10 @@ class RealtimeEngine {
   std::vector<std::unique_ptr<std::atomic<bool>>> thread_alive_;
   std::vector<std::unique_ptr<std::atomic<bool>>> thread_stalled_;
   std::vector<std::unique_ptr<std::atomic<bool>>> thread_killed_;
+  /// One doorbell per consumer thread.  Only ever grows: a producer may
+  /// still hold a shard's pointer to a bell across stop() and start().
+  std::vector<std::unique_ptr<Bell>> bells_;
+  Bell watchdog_bell_{kAwake};
   std::thread watchdog_thread_;
 };
 

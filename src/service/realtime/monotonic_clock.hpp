@@ -2,6 +2,8 @@
 //
 // Every other component takes time from sim::Simulator or a clk::Clock;
 // this file (and only this file) is on detlint R1's wallclock allow-list.
+// It is also the only place that blocks on the OS: the consumers' doorbell
+// wait is a futex on Linux.
 // chenfd_rtd and bench_rt_throughput construct one MonotonicClock and hand
 // it to the realtime engine as a TimeSource — nothing downstream can tell
 // it apart from the replay harness's VirtualTimeSource, which is exactly
@@ -26,6 +28,9 @@ class MonotonicClock final : public TimeSource {
 
   [[nodiscard]] TimePoint now() const override;
   void sleep_for(Duration d) const override;
+  void wait(const std::atomic<std::uint32_t>& word, std::uint32_t expected,
+            Duration timeout) const override;
+  void wake(std::atomic<std::uint32_t>& word) const override;
 
   [[nodiscard]] TimePoint local(TimePoint real) const override {
     return real;

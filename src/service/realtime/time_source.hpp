@@ -2,7 +2,9 @@
 //
 // Everything in src/service/realtime/ asks *one* object what time it is: a
 // TimeSource, which extends the paper's clk::Clock mapping with a now()
-// query and a cooperative sleep.  Two implementations exist:
+// query, a cooperative sleep, and a timed wait on a 32-bit word that another
+// thread can cut short (the consumers' doorbell).  Two implementations
+// exist:
 //
 //   - MonotonicClock (monotonic_clock.hpp): the only wall-clock source in
 //     the tree (detlint R1 allow-list is confined to that one file), used
@@ -17,6 +19,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 
 #include "clock/clock.hpp"
@@ -36,6 +39,17 @@ class TimeSource : public clk::Clock {
   /// Blocks the calling thread for roughly `d` (a scheduling hint, not a
   /// precision timer).  Virtual implementations may return immediately.
   virtual void sleep_for(Duration d) const = 0;
+
+  /// Blocks while `word` holds `expected`, for at most `timeout`, or until
+  /// wake() is called on `word`.  The value comparison and the block are
+  /// one atomic step, so a store-then-wake() that lands before the block
+  /// is never lost.  Spurious returns are allowed; callers re-check.
+  virtual void wait(const std::atomic<std::uint32_t>& word,
+                    std::uint32_t expected, Duration timeout) const = 0;
+
+  /// Wakes the thread blocked in wait() on `word`, if any (each word has
+  /// at most one waiter).
+  virtual void wake(std::atomic<std::uint32_t>& word) const = 0;
 };
 
 /// Deterministic replay time: a thread-safe instant that only moves when
@@ -66,6 +80,14 @@ class VirtualTimeSource final : public TimeSource {
   /// Virtual sleep: yield once so a live thread spinning on virtual time
   /// makes no progress claim but also never deadlocks the advancing thread.
   void sleep_for(Duration /*d*/) const override { std::this_thread::yield(); }
+
+  /// Virtual waits only yield, like sleep_for: virtual time does not pass
+  /// while a thread blocks, so a timed block could outlast the harness.
+  void wait(const std::atomic<std::uint32_t>& /*word*/,
+            std::uint32_t /*expected*/, Duration /*timeout*/) const override {
+    std::this_thread::yield();
+  }
+  void wake(std::atomic<std::uint32_t>& /*word*/) const override {}
 
   [[nodiscard]] TimePoint local(TimePoint real) const override {
     return real;

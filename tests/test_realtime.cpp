@@ -4,11 +4,14 @@
 // harness's knob-independence contract.
 //
 // The threaded cases (MultiProducer*, Live*) are the TSan targets: they
-// exercise the producer path concurrently with a draining/stalled/killed
-// consumer and assert the lock-free bookkeeping stays exact.
+// exercise the producer path concurrently with a draining/stalled/killed/
+// parked consumer and assert the lock-free bookkeeping stays exact, that an
+// offer wakes a parked consumer long before its period, and that the
+// watchdog never restarts a consumer that is only starting or stopping.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <sstream>
@@ -550,6 +553,124 @@ TEST(RealtimeLive, KilledConsumerIsRespawnedWithinBackoffBound) {
 
   engine.stop();
   expect_identity(engine.totals());
+}
+
+// ---- doorbell: offers wake parked consumers; stop() is prompt -----------
+
+RealtimeOptions live_engine(std::size_t processes, std::size_t shards) {
+  RealtimeOptions opts;
+  opts.processes = processes;
+  opts.shards = shards;
+  opts.params.eta = seconds(1.0);
+  opts.params.alpha = seconds(2.0);
+  opts.queue_capacity = 1024;
+  return opts;
+}
+
+TEST(RealtimeLive, OfferWakesParkedConsumerWellBeforeItsPeriod) {
+  MonotonicClock clock;
+  RealtimeEngine engine(live_engine(4, 1), clock);
+  engine.start(1, seconds(1.0), seconds(0.05));
+  // The consumer's first pass finds nothing and parks for up to 1 s.
+  clock.sleep_for(seconds(0.02));
+  const TimePoint offered = clock.now();
+  ASSERT_TRUE(engine.offer_now(0, 0, 1));
+
+  bool trusted = false;
+  TimePoint seen = offered;
+  const TimePoint deadline = offered + seconds(5.0);
+  while (!trusted && clock.now() < deadline) {
+    for (const fleet::Transition& t : engine.drain_transitions()) {
+      if (t.process == 0 && t.to == Verdict::kTrust) trusted = true;
+    }
+    seen = clock.now();
+    if (!trusted) clock.sleep_for(seconds(0.0005));
+  }
+  engine.stop();
+  ASSERT_TRUE(trusted);
+  EXPECT_LT((seen - offered).seconds(), 0.1);
+  EXPECT_EQ(engine.risk_reason(), RiskReason::kNone);
+}
+
+TEST(RealtimeLive, StopWakesParkedThreadsAtOnce) {
+  MonotonicClock clock;
+  RealtimeEngine engine(live_engine(4, 2), clock);
+  engine.start(2, seconds(10.0), seconds(10.0));
+  clock.sleep_for(seconds(0.02));  // both consumers and the watchdog park
+  const TimePoint asked = clock.now();
+  engine.stop();
+  EXPECT_LT((clock.now() - asked).seconds(), 1.0);
+  EXPECT_EQ(engine.totals().restarts, 0u);
+}
+
+TEST(RealtimeLive, SparseBurstsFromManyProducersAreConsumedWithinTheBound) {
+  constexpr std::size_t kProcesses = 24;
+  constexpr int kProducers = 3;
+  constexpr int kRounds = 25;
+  constexpr int kBurst = 16;
+  // Consumers park between bursts; only the doorbell can wake them well
+  // before the 2 s period.
+  constexpr double kBound = 0.5;
+  MonotonicClock clock;
+  RealtimeEngine engine(live_engine(kProcesses, 4), clock);
+  engine.start(2, seconds(2.0), seconds(0.05));
+
+  std::vector<net::SeqNo> seq(kProcesses, 0);
+  double worst = 0.0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::thread> producers;
+    producers.reserve(kProducers);
+    for (int p = 0; p < kProducers; ++p) {
+      // Producer p owns processes p, p + kProducers, ...: each process's
+      // sequence numbers stay increasing without sharing.
+      producers.emplace_back([&engine, &seq, p] {
+        for (int i = 0; i < kBurst; ++i) {
+          const std::size_t proc =
+              static_cast<std::size_t>(p) +
+              static_cast<std::size_t>(kProducers) *
+                  static_cast<std::size_t>(i % (kProcesses / kProducers));
+          engine.offer_now(static_cast<fleet::ProcessIndex>(proc), 0,
+                           ++seq[proc]);
+        }
+      });
+    }
+    for (std::thread& t : producers) t.join();
+    const TimePoint sent = clock.now();
+    const std::uint64_t produced = engine.totals().produced;
+    const TimePoint deadline = sent + seconds(5.0);
+    while (engine.totals().consumed < produced && clock.now() < deadline) {
+      clock.sleep_for(seconds(0.0002));
+    }
+    ASSERT_EQ(engine.totals().consumed, produced) << "round " << round;
+    worst = std::max(worst, (clock.now() - sent).seconds());
+    // Leave the consumers time to park before the next burst.
+    clock.sleep_for(seconds(0.002 + 0.001 * (round % 5)));
+  }
+  engine.stop();
+  EXPECT_LT(worst, kBound);
+
+  const ShardCounters total = engine.totals();
+  EXPECT_EQ(total.produced,
+            static_cast<std::uint64_t>(kProducers) * kRounds * kBurst);
+  expect_identity(total);
+  EXPECT_EQ(total.shed_total(), 0u);
+  EXPECT_EQ(total.restarts, 0u);
+}
+
+// ---- watchdog start-up race ---------------------------------------------
+
+TEST(RealtimeLive, StartStopCyclesNeverRestartAConsumer) {
+  // Consumers are marked alive before their threads launch and a consumer
+  // that leaves its loop because stop() began is not dead, so neither the
+  // watchdog's first poll nor its last may restart anything.
+  MonotonicClock clock;
+  RealtimeEngine engine(live_engine(4, 4), clock);
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    engine.start(2, seconds(0.01), seconds(0.001));
+    engine.stop();
+  }
+  EXPECT_EQ(engine.totals().restarts, 0u);
+  EXPECT_EQ(engine.risk_reason(), RiskReason::kNone);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@
 //       periodic snapshots persisted through a FileSnapshotStore.  On
 //       startup a previous incarnation's snapshot (if any) is loaded, its
 //       store-stamped age reported, and the fleet summary warm-restored.
+//       Exits 1 when an oracle fails: the counter identity
+//       produced == accepted + shed; per-process Suspect/Trust alternation
+//       of the transition stream drained at exit, which starts from
+//       all-suspect after a cold start and a warm restore alike; and, as no
+//       fault is injected, zero watchdog restarts.  CI runs a short live
+//       run under ASan/UBSan and TSan.
 //
 // Live options:
 //   --processes N    monitored processes            (default 64)
@@ -38,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/verdict.hpp"
 #include "persist/file_store.hpp"
 #include "persist/snapshot.hpp"
 #include "service/realtime/engine.hpp"
@@ -106,6 +113,23 @@ persist::MonitorSnapshot wrap_summary(const rt::RealtimeEngine& engine,
   return snap;
 }
 
+// Transitions that break per-process Suspect/Trust alternation, every
+// process starting suspected.
+std::size_t alternation_breaks(const std::vector<fleet::Transition>& stream,
+                               std::size_t processes) {
+  std::vector<std::uint8_t> trusted(processes, 0);
+  std::size_t breaks = 0;
+  for (const fleet::Transition& t : stream) {
+    const bool to_trust = t.to == Verdict::kTrust;
+    if (t.process >= processes || (trusted[t.process] != 0) == to_trust) {
+      ++breaks;
+      continue;
+    }
+    trusted[t.process] = to_trust ? 1 : 0;
+  }
+  return breaks;
+}
+
 int run_live(const LiveConfig& cfg) {
   rt::MonotonicClock wall;
 
@@ -147,6 +171,9 @@ int run_live(const LiveConfig& cfg) {
     }
   }
 
+  // The longest a parked consumer waits with no offer, and so how often an
+  // idle fleet's timing wheels advance.  Offers wake consumers at once, so
+  // this does not delay ingestion.
   const Duration consumer_period = seconds(0.2 / cfg.rate_hz);
   const Duration watchdog_period = seconds(0.25);
   engine.start(cfg.consumers, consumer_period, watchdog_period);
@@ -212,11 +239,25 @@ int run_live(const LiveConfig& cfg) {
   std::printf("rtd: qos_at_risk %d reason %s\n", engine.qos_at_risk() ? 1 : 0,
               rt::name(engine.risk_reason()));
 
+  int status = 0;
   if (t.produced != t.accepted + t.shed_total()) {
     std::fprintf(stderr, "rtd: FAIL counter identity violated\n");
-    return 1;
+    status = 1;
   }
-  return 0;
+  const std::size_t breaks = alternation_breaks(transitions, cfg.processes);
+  if (breaks != 0) {
+    std::fprintf(stderr,
+                 "rtd: FAIL %zu transitions break Suspect/Trust alternation\n",
+                 breaks);
+    status = 1;
+  }
+  if (t.restarts != 0) {
+    std::fprintf(stderr,
+                 "rtd: FAIL %llu watchdog restarts with no injected fault\n",
+                 static_cast<unsigned long long>(t.restarts));
+    status = 1;
+  }
+  return status;
 }
 
 }  // namespace
